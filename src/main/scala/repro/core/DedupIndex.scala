@@ -117,10 +117,17 @@ final class DedupIndex(config: DedupConfig) {
   /** Index one model's tensors (Alg. 1). `eval` is consulted only when the
     * config has a gate; pass None for exact dedup or accuracy-free runs.
     *
+    * No tensor may already be indexed, nor appear twice: re-adding a live
+    * tensor would count its blocks twice in their groups. Remove it first.
+    *
     * @return this model's stats; mappings accumulate in [[mapping]].
     */
   def addModel(tensors: Seq[Tensor], eval: Option[ModelAccuracy]): ModelDedupStats = {
     val blocks: Vector[TensorBlock] = tensors.iterator.flatMap(_.blocks).toVector
+    val refs = blocks.map(_.ref)
+    require(refs.distinct.size == refs.size, s"a block appears twice in tensors ${tensors.map(_.id).mkString(",")}")
+    val live = refs.filter(refToGroup.contains).map(_.tensorId).distinct
+    require(live.isEmpty, s"tensor ids already indexed: ${live.mkString(",")}")
     val ordered = config.order match {
       case ExamOrder.MagnitudeAscending =>
         blocks.sortBy(b => Magnitude.thirdQuartile(b.data))

@@ -77,7 +77,7 @@ object PagePacking {
     def numPages: Int = pages.size
 
     /** Physically stored pages after identical-page elimination. */
-    def distinctPages: Vector[Set[Int]] = pages.map(_.toSet).distinct
+    lazy val distinctPages: Vector[Set[Int]] = pages.map(_.toSet).distinct
 
     def numDistinctPages: Int = distinctPages.size
 

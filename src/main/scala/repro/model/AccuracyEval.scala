@@ -15,6 +15,10 @@ import scala.util.Random
   * by a similar-but-different representative genuinely moves logits on most
   * examples, while cold-block replacements barely matter. This is the
   * mechanism behind the paper's magnitude-aware ordering.
+  *
+  * Every block-data `lookup` passed in must be pure: a forward pass calls it
+  * exactly once per block that some validation example touches (in no
+  * promised order) and reuses the result for every example reading it.
   */
 final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
                          wordsPerExample: Int = 8, seed: Long = 1234L) {
@@ -37,28 +41,65 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
     }
   }
 
-  /** Logit of one example under a block-data lookup for tensor `tensorId`. */
-  def logit(example: Array[Int], tensorId: Int,
-            lookup: BlockRef => Array[Double], head: Array[Double], bias: Double): Double = {
-    var out = bias
-    var w = 0
-    while (w < example.length) {
-      val row = example(w)
-      val br = row / shape.rowsPerBlock
-      val rIn = row % shape.rowsPerBlock
-      var bc = 0
-      while (bc < shape.colBlocks) {
-        val data = lookup(BlockRef(tensorId, BlockId(br, bc)))
-        var cIn = 0
-        while (cIn < shape.colsPerBlock) {
-          out += data(rIn * shape.colsPerBlock + cIn) * head(bc * shape.colsPerBlock + cIn)
-          cIn += 1
+  /** Block-rows read by at least one validation example, ascending. */
+  private val touchedRows: Array[Int] =
+    examples.flatten.map(_ / shape.rowsPerBlock).distinct.sorted
+
+  /** Block data of every touched block of `tensorId`, resolved once, at slot
+    * `row * colBlocks + col`; untouched slots stay null.
+    */
+  private def resolve(tensorId: Int, lookup: BlockRef => Array[Double]): Array[Array[Double]] = {
+    val blocks = new Array[Array[Double]](shape.numBlocks)
+    for (br <- touchedRows; bc <- 0 until shape.colBlocks)
+      blocks(br * shape.colBlocks + bc) = lookup(BlockRef(tensorId, BlockId(br, bc)))
+    blocks
+  }
+
+  /** The forward pass: every example's logit under `lookup` for the model's
+    * primary tensor. Each logit sums `bias`, then words, then column blocks,
+    * then columns, in that order.
+    */
+  private[model] def logits(model: Model, lookup: BlockRef => Array[Double]): Array[Double] = {
+    val blocks = resolve(model.primary.id, lookup)
+    val head = model.head
+    val cpb = shape.colsPerBlock
+    val out = new Array[Double](examples.length)
+    var i = 0
+    while (i < examples.length) {
+      val example = examples(i)
+      var acc = model.bias
+      var w = 0
+      while (w < example.length) {
+        val row = example(w)
+        val slot = (row / shape.rowsPerBlock) * shape.colBlocks
+        val rowOff = (row % shape.rowsPerBlock) * cpb
+        var bc = 0
+        while (bc < shape.colBlocks) {
+          val data = blocks(slot + bc)
+          val headOff = bc * cpb
+          var cIn = 0
+          while (cIn < cpb) {
+            acc += data(rowOff + cIn) * head(headOff + cIn)
+            cIn += 1
+          }
+          bc += 1
         }
-        bc += 1
+        w += 1
       }
-      w += 1
+      out(i) = acc
+      i += 1
     }
     out
+  }
+
+  private def origLookup(model: Model): BlockRef => Array[Double] = {
+    val m = ModelGen.blockData(Seq(model)); r => m(r)
+  }
+
+  /** Mean |logit| over the first 200 examples. */
+  private def scaleOf(origLogits: Array[Double]): Double = {
+    val ls = origLogits.take(200).map(math.abs)
+    ls.sum / ls.length
   }
 
   /** Ground-truth labels for a model: original logits + per-model label noise.
@@ -66,32 +107,21 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
     */
   def labels(model: Model, labelNoise: Double): Array[Boolean] = {
     val rnd = new Random(seed * 31L + model.id)
-    val orig: BlockRef => Array[Double] = {
-      val m = ModelGen.blockData(Seq(model)); r => m(r)
-    }
-    examples.map { ex =>
-      val l = logit(ex, model.primary.id, orig, model.head, model.bias)
-      l + rnd.nextGaussian() * labelNoise * logitScale(model) > 0
-    }
+    val orig = logits(model, origLookup(model))
+    val scale = scaleOf(orig)
+    orig.map(l => l + rnd.nextGaussian() * labelNoise * scale > 0)
   }
 
   /** Typical |logit| magnitude, used to express label noise relatively. */
-  def logitScale(model: Model): Double = {
-    val orig: BlockRef => Array[Double] = {
-      val m = ModelGen.blockData(Seq(model)); r => m(r)
-    }
-    val ls = examples.take(200).map(ex =>
-      math.abs(logit(ex, model.primary.id, orig, model.head, model.bias)))
-    ls.sum / ls.length
-  }
+  def logitScale(model: Model): Double = scaleOf(logits(model, origLookup(model)))
 
   /** Accuracy of a (possibly deduplicated) model against fixed labels. */
   def accuracy(model: Model, lbls: Array[Boolean], lookup: BlockRef => Array[Double]): Double = {
+    val ls = logits(model, lookup)
     var hits = 0
     var i = 0
-    while (i < examples.length) {
-      val l = logit(examples(i), model.primary.id, lookup, model.head, model.bias)
-      if ((l > 0) == lbls(i)) hits += 1
+    while (i < ls.length) {
+      if ((ls(i) > 0) == lbls(i)) hits += 1
       i += 1
     }
     hits.toDouble / examples.length

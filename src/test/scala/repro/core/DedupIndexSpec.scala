@@ -195,6 +195,20 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(idx.mapping.keySet.forall(_.tensorId == 2))
   }
 
+  test("addModel rejects a tensor id that is already indexed, and a tensor given twice") {
+    val t1 = mkTensor(1, Seq(vec(1), vec(2)))
+    val idx = Detectors.proposed(dim)
+    idx.addModel(Seq(t1), None)
+    val before = (idx.mapping, idx.numDistinct, idx.groupSizeOf(t1.blocks(0).ref))
+    val again = intercept[IllegalArgumentException](idx.addModel(Seq(mkTensor(2, Seq(vec(3))), t1), None))
+    assert(again.getMessage.contains("already indexed: 1"))
+    intercept[IllegalArgumentException](idx.addModel(Seq(mkTensor(3, Seq(vec(4))), mkTensor(3, Seq(vec(5)))), None))
+    assert((idx.mapping, idx.numDistinct, idx.groupSizeOf(t1.blocks(0).ref)) == before,
+      "a rejected model must leave the index untouched")
+    idx.removeTensor(1)
+    assert(idx.addModel(Seq(t1), None).total == 2, "a removed tensor id may be added again")
+  }
+
   test("re-indexing after removal reuses surviving groups") {
     val shared = vec(4)
     val t1 = mkTensor(1, Seq(shared)); val t2 = mkTensor(2, Seq(shared.clone()))
