@@ -65,11 +65,14 @@ final class DedupIndex(config: DedupConfig) {
     val members: mutable.LinkedHashSet[BlockRef] = mutable.LinkedHashSet.empty
   }
 
-  private val groups = mutable.ArrayBuffer.empty[Group]
+  // Insertion-ordered, so the pairwise matcher scans groups in creation
+  // order; removal is O(1).
+  private val groups = mutable.LinkedHashSet.empty[Group]
   private val bySig = mutable.HashMap.empty[String, Group] // signature matchers only
   private val refToGroup = mutable.HashMap.empty[BlockRef, Group]
   private val distinctBuf = mutable.ArrayBuffer.empty[TensorBlock] // L
   private val mappingBuf = mutable.HashMap.empty[BlockRef, Int]    // F
+  private val refsOfTensor = mutable.HashMap.empty[Int, mutable.HashSet[BlockRef]]
 
   private var probeNanosTotal = 0L
   private var probesTotal = 0
@@ -110,6 +113,11 @@ final class DedupIndex(config: DedupConfig) {
       case _ => ()
     }
     g
+  }
+
+  private def index(ref: BlockRef, g: Group): Unit = {
+    refToGroup(ref) = g
+    refsOfTensor.getOrElseUpdate(ref.tensorId, mutable.HashSet.empty) += ref
   }
 
   // -- public API ----------------------------------------------------------
@@ -154,7 +162,7 @@ final class DedupIndex(config: DedupConfig) {
         probe(b) match {
           case Some(g) if !stopped =>
             g.members += b.ref
-            refToGroup(b.ref) = g
+            index(b.ref, g)
             mappingBuf(b.ref) = g.repIdx
             current(b.ref) = distinctBuf(g.repIdx).data
             merged += 1
@@ -162,13 +170,13 @@ final class DedupIndex(config: DedupConfig) {
             // Gate tripped: record membership but keep a private distinct copy
             // (Sec. 4.3 Step 4 — the block is NOT replaced).
             g.members += b.ref
-            refToGroup(b.ref) = g
+            index(b.ref, g)
             distinctBuf += b
             mappingBuf(b.ref) = distinctBuf.size - 1
           case None =>
             val g = newGroup(b)
             g.members += b.ref
-            refToGroup(b.ref) = g
+            index(b.ref, g)
             mappingBuf(b.ref) = g.repIdx
         }
         j += 1
@@ -217,6 +225,10 @@ final class DedupIndex(config: DedupConfig) {
     case Some(g) =>
       g.members -= ref
       mappingBuf.remove(ref)
+      refsOfTensor.get(ref.tensorId).foreach { rs =>
+        rs -= ref
+        if (rs.isEmpty) refsOfTensor.remove(ref.tensorId)
+      }
       if (g.members.isEmpty) {
         config.matcher match {
           case SignatureMatcher(hasher, _, _) =>
@@ -229,9 +241,10 @@ final class DedupIndex(config: DedupConfig) {
       true
   }
 
-  /** Remove every block of a tensor (model removal = per-tensor removal). */
-  def removeTensor(tensorId: Int): Int = {
-    val refs = refToGroup.keys.filter(_.tensorId == tensorId).toVector
-    refs.count(removeBlock)
-  }
+  /** Remove every block of a tensor (model removal = per-tensor removal).
+    * O(blocks of the tensor); the final state does not depend on the order
+    * the blocks are removed in.
+    */
+  def removeTensor(tensorId: Int): Int =
+    refsOfTensor.remove(tensorId).fold(0)(_.count(removeBlock))
 }

@@ -240,10 +240,11 @@ object PagePacking {
       }.toMap
       val prob = Problem(presentOwners, seen.toMap, l)
       val next = packer(prob, currentPages).distinctPages
-      val prev = currentPages
-      val reused = next.count(prev.contains)
-      val discarded = prev.count(pg => !next.contains(pg))
-      val created = next.count(pg => !prev.contains(pg))
+      val prevSet = currentPages.toSet
+      val nextSet = next.toSet
+      val reused = next.count(prevSet.contains)
+      val discarded = currentPages.count(pg => !nextSet.contains(pg))
+      val created = next.count(pg => !prevSet.contains(pg))
       steps += OnlineStep(tid, reused, discarded, created)
       currentPages = next
     }

@@ -3,6 +3,7 @@ package repro.serving
 import repro.bufferpool.{BufferPool, PageMeta, Policy}
 import repro.device.StorageDevice
 import repro.storage.{PageId, PageStore}
+import scala.collection.mutable
 
 /** Serving-cost parameters of one scenario (DESIGN.md §2: netsDB's
   * execution modeled as a page-access trace over the paper-scale store).
@@ -38,29 +39,38 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
   private def sharersOf(id: PageId): Set[Int] =
     store.owners(id).map(t => tensorToModel.getOrElse(t, t))
 
+  /** One model's weight pages in read order, each with its pool
+    * descriptor: shared pages form one locality set, a model's private
+    * pages another.
+    */
+  private def traceOf(m: Int, tensors: Seq[Int]): Array[(Int, PageMeta)] = {
+    val own = s"weights-$m"
+    tensors.flatMap(store.pagesOf).map { id =>
+      val set = if (store.refCount(id) > 1) "shared" else own
+      (id.value, PageMeta(store.page(id).bytes, set, sharersOf(id)))
+    }.toArray
+  }
+
   /** Serve one inference batch on every listed model, in order; pages flow
-    * through the buffer pool, misses charge device time.
+    * through the buffer pool, misses charge device time. The store must not
+    * change during the call: each requested model's page trace is built
+    * once and replayed for every request and probe round.
     */
   def serveAll(models: Seq[Int], modelTensors: Map[Int, Seq[Int]]): ServingReport = {
     val effective = math.max(cfg.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
     val pool = new BufferPool(effective, cfg.policy, cfg.device)
     val inputPages = math.max(1L, cfg.inputBytes / cfg.pageBytes).toInt
-    val allModels = models.toSet
+    val input = PageMeta(cfg.pageBytes, "input", models.toSet)
+    val traces = mutable.HashMap.empty[Int, Array[(Int, PageMeta)]]
     var io = 0.0
     for (m <- models) {
-      val pages = modelTensors(m).flatMap(store.pagesOf)
+      val trace = traces.getOrElseUpdate(m, traceOf(m, modelTensors(m)))
       // The input batch is scanned once per model (the hash-map build side
       // streams it); weight pages are probed once per input sub-batch.
       // Input pages use negative ids so they never clash with store pages.
-      for (p <- 0 until inputPages)
-        io += pool.read(-1 - p, PageMeta(cfg.pageBytes, "input", allModels))
-      for (_ <- 0 until cfg.probeRounds) {
-        for (id <- pages) {
-          val shared = store.refCount(id) > 1
-          val set = if (shared) "shared" else s"weights-$m"
-          io += pool.read(id.value, PageMeta(store.page(id).bytes, set, sharersOf(id)))
-        }
-      }
+      for (p <- 0 until inputPages) io += pool.read(-1 - p, input)
+      for (_ <- 0 until cfg.probeRounds)
+        trace.foreach { case (id, meta) => io += pool.read(id, meta) }
     }
     val compute = cfg.computeSecondsPerModel * models.size
     ServingReport(compute + io, io, compute, pool.hitRatio, pool.hits, pool.misses)

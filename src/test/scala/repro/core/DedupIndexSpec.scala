@@ -241,6 +241,22 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(idx.numDistinct == 2)
   }
 
+  test("pairwise matcher still scans groups in creation order after a group is removed") {
+    val base = vec(8, scale = 0.05)
+    def shifted(by: Double) = { val v = base.clone(); v(0) += by; v }
+    // B and C are 0.5 apart, so each forms its own group; X is 0.25 from both.
+    val tA = mkTensor(1, Seq(vec(60)))
+    val tB = mkTensor(2, Seq(base))
+    val tC = mkTensor(3, Seq(shifted(0.5)))
+    val idx = Detectors.enhancedPairwise(threshold = 0.3)
+    Seq(tA, tB, tC).foreach(t => idx.addModel(Seq(t), None))
+    assert(idx.numGroups == 3)
+    assert(idx.removeTensor(1) == 1 && idx.numGroups == 2)
+    idx.addModel(Seq(mkTensor(4, Seq(shifted(0.25)))), None)
+    val m = idx.mapping
+    assert(m(BlockRef(4, BlockId(0, 0))) == m(BlockRef(2, BlockId(0, 0))), "X must join B, the older group")
+  }
+
   test("MinHash banding merges drifted blocks (Mistique approximate)") {
     val a = vec(8, scale = 0.05)
     val t1 = mkTensor(1, Seq(a))
