@@ -104,9 +104,7 @@ final class MinHashHasher(val dim: Int, val perms: Int, val binWidth: Double, se
   */
 final class ExactHasher extends BlockHasher {
   override def signature(v: Array[Double]): Signature = {
-    var h = 1125899906842597L
-    var i = 0
-    while (i < v.length) { h = 31 * h + java.lang.Double.doubleToLongBits(v(i)); i += 1 }
+    val h = TensorBlock.contentHash(v)
     Signature(Vector((h >>> 32).toInt, h.toInt))
   }
 }

@@ -22,7 +22,11 @@ object Magnitude {
   /** p-th percentile (p in [0,100]) of absolute values, linear interpolation. */
   def percentile(v: Array[Double], p: Double): Double = {
     require(v.nonEmpty && p >= 0 && p <= 100)
-    val abs = v.map(math.abs).sorted
+    val abs = new Array[Double](v.length)
+    var i = 0
+    while (i < v.length) { abs(i) = math.abs(v(i)); i += 1 }
+    // Same order as Ordering.Double.TotalOrdering (NaN last), unboxed.
+    java.util.Arrays.sort(abs)
     if (abs.length == 1) return abs(0)
     val rank = p / 100.0 * (abs.length - 1)
     val lo = rank.toInt

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.HashMap
 import scala.collection.mutable
 
 /** Packing distinct tensor blocks into fixed-capacity pages (Sec. 5).
@@ -62,14 +63,22 @@ object PagePacking {
       * are visited in row-major BlockId order.
       */
     def fromDedup(idx: DedupIndex, l: Int): Problem = {
-      val mapping = idx.mapping
-      val byTensor = mapping.toVector.groupBy(_._1.tensorId)
-      val logical = byTensor.map { case (tid, refs) =>
-        tid -> refs.sortBy { case (r, _) => (r.blockId.row, r.blockId.col) }.map(_._2)
+      // One pass over F, grouped by tensor.
+      val byTensor = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(Long, Int)]]
+      idx.foreachMapping { (r, item) =>
+        byTensor.getOrElseUpdate(r.tensorId, mutable.ArrayBuffer.empty) += ((rowMajorKey(r.blockId), item))
       }
+      val logical = HashMap.from(byTensor.iterator.map { case (tid, refs) =>
+        tid -> refs.sortInPlaceBy(_._1).iterator.map(_._2).toVector
+      })
       val tensors = logical.map { case (tid, seq) => tid -> seq.distinct }
-      Problem(idx.owners, tensors, l, Some(logical))
+      val owners = mutable.HashMap.empty[Int, Set[Int]]
+      for ((tid, items) <- tensors; i <- items) owners(i) = owners.getOrElse(i, Set.empty[Int]) + tid
+      Problem(HashMap.from(owners), tensors, l, Some(logical))
     }
+
+    /** Packs a block position so that `Long` order is `(row, col)` order. */
+    private def rowMajorKey(b: BlockId): Long = (b.row.toLong << 32) | (b.col.toLong - Int.MinValue)
   }
 
   /** A packing scheme: each page is the vector of items it holds. */

@@ -32,7 +32,20 @@ final case class TensorBlock(ref: BlockRef, data: Array[Double], virtualBytes: L
   }
 
   /** Exact-content fingerprint (bit-exact, order-sensitive). */
-  def contentHash: Long = {
+  def contentHash: Long = TensorBlock.contentHash(data)
+
+  /** Bit-exact content equality (contentHash can collide; this cannot). */
+  def sameContent(other: TensorBlock): Boolean =
+    data.length == other.data.length &&
+      java.util.Arrays.equals(data, other.data)
+}
+
+object TensorBlock {
+
+  /** Bit-exact, order-sensitive 64-bit hash of a block's values; the one
+    * content hash behind [[TensorBlock.contentHash]] and [[ExactHasher]].
+    */
+  def contentHash(data: Array[Double]): Long = {
     var h = 1125899906842597L // large prime
     var i = 0
     while (i < data.length) {
@@ -41,11 +54,6 @@ final case class TensorBlock(ref: BlockRef, data: Array[Double], virtualBytes: L
     }
     h
   }
-
-  /** Bit-exact content equality (contentHash can collide; this cannot). */
-  def sameContent(other: TensorBlock): Boolean =
-    data.length == other.data.length &&
-      java.util.Arrays.equals(data, other.data)
 }
 
 /** A tensor: a grid of `rowBlocks x colBlocks` blocks of equal shape.

@@ -158,18 +158,21 @@ object ModelGen {
   def ffnnFamily(numModels: Int, w1Blocks: Int = 600, w2Blocks: Int = 25,
                  blockDim: Int = 64, blockVirtualBytes: Long = 8L << 20,
                  seed: Long = 99L): Vector[Model] = {
-    def tensor(tid: Int, name: String, nBlocks: Int, blockSeed: Long): Tensor =
-      Tensor.tabulate(tid, name, nBlocks, 1, blockDim, blockVirtualBytes) { (r, _) =>
-        val rnd = new Random(blockSeed * 1000003L + r)
-        // Unit scale keeps distinct random blocks far apart in L2, so the
-        // LSH index never spuriously merges unrelated FFNN blocks.
-        Array.fill(blockDim)(rnd.nextGaussian())
-      }
+    def block(blockSeed: Long, r: Int): Array[Double] = {
+      val rnd = new Random(blockSeed * 1000003L + r)
+      // Unit scale keeps distinct random blocks far apart in L2, so the
+      // LSH index never spuriously merges unrelated FFNN blocks.
+      Array.fill(blockDim)(rnd.nextGaussian())
+    }
+    def tensor(tid: Int, name: String, nBlocks: Int)(gen: Int => Array[Double]): Tensor =
+      Tensor.tabulate(tid, name, nBlocks, 1, blockDim, blockVirtualBytes)((r, _) => gen(r))
+    // Shared W1 has the SAME content in every model (same seed), so exact
+    // dedup collapses it: draw it once, and give each model its own copy.
+    val w1Data = Vector.tabulate(w1Blocks)(block(seed, _))
     (0 until numModels).toVector.map { i =>
-      // Tensor ids: shared W1 uses the SAME content for every model (same
-      // seed), so exact dedup collapses it; W2 is model-specific.
-      val w1 = tensor(i * 2, s"ffnn$i-W1", w1Blocks, blockSeed = seed)
-      val w2 = tensor(i * 2 + 1, s"ffnn$i-W2", w2Blocks, blockSeed = seed + 1 + i)
+      // Tensor ids are globally unique; W2 is model-specific.
+      val w1 = tensor(i * 2, s"ffnn$i-W1", w1Blocks)(w1Data(_).clone())
+      val w2 = tensor(i * 2 + 1, s"ffnn$i-W2", w2Blocks)(block(seed + 1 + i, _))
       val rnd = new Random(seed * 7L + i)
       Model(i, s"ffnn-$i", Vector(w1, w2), Array.fill(blockDim)(rnd.nextGaussian()), 0.0)
     }

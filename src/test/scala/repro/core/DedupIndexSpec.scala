@@ -151,10 +151,11 @@ class DedupIndexSpec extends AnyFunSuite {
     val t2 = mkTensor(2, Seq(shared.clone(), vec(3)))
     val idx = Detectors.proposed(dim)
     idx.addModel(Seq(t1), None); idx.addModel(Seq(t2), None)
+    val owners = PagePacking.Problem.fromDedup(idx, l = 4).owners
     val sharedIdx = idx.mapping(BlockRef(1, BlockId(0, 0)))
-    assert(idx.owners(sharedIdx) == Set(1, 2))
+    assert(owners(sharedIdx) == Set(1, 2))
     val privIdx = idx.mapping(BlockRef(1, BlockId(1, 0)))
-    assert(idx.owners(privIdx) == Set(1))
+    assert(owners(privIdx) == Set(1))
   }
 
   test("multi-tensor models: blocks of all tensors are indexed") {

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 
 class MagnitudeSpec extends AnyFunSuite {
 
@@ -71,6 +72,34 @@ class MagnitudeSpec extends AnyFunSuite {
       val abs = v.map(math.abs)
       val m = Magnitude.mean(v)
       assert(m >= abs.min - 1e-9 && m <= abs.max + 1e-9)
+    }
+  }
+
+  /** Arrays that mix repeats, zeros, `-0.0`, NaN and infinities into random values. */
+  private val awkwardGen: Gen[Array[Double]] = {
+    val value = Gen.frequency(
+      6 -> Gen.chooseNum(-1e6, 1e6),
+      2 -> Gen.oneOf(0.0, -0.0, Double.NaN, 1.0, -1.0),
+      1 -> Gen.oneOf(Double.MinPositiveValue, Double.MaxValue, Double.PositiveInfinity, Double.NegativeInfinity))
+    Gen.frequency(
+      1 -> value.map(Array(_)),
+      4 -> Gen.choose(2, 70).flatMap(n => Gen.listOfN(n, value)).flatMap { xs =>
+        // Repeat some values so the sort sees equal keys.
+        Gen.listOfN(xs.size / 3, Gen.choose(0, xs.size - 1)).map(ix => (xs ++ ix.map(xs)).toArray)
+      })
+  }
+
+  test("property: percentile equals the boxed-sort reference bit for bit") {
+    // Bit equality: `==` plus NaN == NaN (neither side yields -0.0).
+    def same(a: Double, b: Double) =
+      java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b)
+    val fixed = Seq(Array(0.0), Array(-0.0), Array(Double.NaN), Array(-0.0, 0.0, -0.0),
+      Array(Double.NaN, 1.0, -0.0, Double.NaN), Array(2.0, 2.0, 2.0), Array(-3.0, 3.0, -3.0, 1.0))
+    val drawn = (0 until 500).map(i => awkwardGen.pureApply(Gen.Parameters.default, Seed(i.toLong)))
+    for (v <- fixed ++ drawn;
+         p <- Seq(0.0, 3.0, 25.0, 50.0, 75.0, 100.0)) {
+      val (got, want) = (Magnitude.percentile(v, p), RefMagnitude.percentile(v, p))
+      assert(same(got, want), s"p=$p v=${v.mkString(",")}: $got != $want")
     }
   }
 

@@ -85,6 +85,41 @@ class ModelGenSpec extends AnyFunSuite {
     assert(!w2a.blocks.head.sameContent(w2b.blocks.head))
   }
 
+  /** The family as it was generated before W1 was drawn once: every model
+    * drew W1 from the same seed itself.
+    */
+  private def ffnnPerModel(numModels: Int, w1Blocks: Int, w2Blocks: Int, blockDim: Int,
+                           seed: Long): Vector[Model] = {
+    def tensor(tid: Int, name: String, nBlocks: Int, blockSeed: Long) =
+      repro.core.Tensor.tabulate(tid, name, nBlocks, 1, blockDim, 8L << 20) { (r, _) =>
+        val rnd = new scala.util.Random(blockSeed * 1000003L + r)
+        Array.fill(blockDim)(rnd.nextGaussian())
+      }
+    (0 until numModels).toVector.map { i =>
+      val w1 = tensor(i * 2, s"ffnn$i-W1", w1Blocks, blockSeed = seed)
+      val w2 = tensor(i * 2 + 1, s"ffnn$i-W2", w2Blocks, blockSeed = seed + 1 + i)
+      val rnd = new scala.util.Random(seed * 7L + i)
+      Model(i, s"ffnn-$i", Vector(w1, w2), Array.fill(blockDim)(rnd.nextGaussian()), 0.0)
+    }
+  }
+
+  test("ffnn family: equal to per-model generation, with no W1 array shared between models") {
+    for (seed <- Seq(99L, 3L)) {
+      val got = ffnnFamily(4, w1Blocks = 12, w2Blocks = 3, blockDim = 8, seed = seed)
+      val want = ffnnPerModel(4, w1Blocks = 12, w2Blocks = 3, blockDim = 8, seed = seed)
+      assert(got.map(m => (m.id, m.name, m.bias, m.head.toVector)) ==
+        want.map(m => (m.id, m.name, m.bias, m.head.toVector)))
+      for ((gm, wm) <- got.zip(want); (gt, wt) <- gm.tensors.zip(wm.tensors)) {
+        assert((gt.id, gt.name, gt.rowBlocks, gt.colBlocks) == ((wt.id, wt.name, wt.rowBlocks, wt.colBlocks)))
+        assert(gt.blocks.map(b => (b.ref, b.virtualBytes)) == wt.blocks.map(b => (b.ref, b.virtualBytes)))
+        assert(gt.blocks.zip(wt.blocks).forall { case (a, b) => a.sameContent(b) }, gt.name)
+      }
+      val w1 = got.map(_.tensors(0).blocks.map(_.data))
+      for (a <- w1.indices; b <- 0 until a; i <- w1(a).indices)
+        assert(!(w1(a)(i) eq w1(b)(i)), s"models $a and $b share W1 block $i")
+    }
+  }
+
   test("ffnn family: tensor ids are globally unique") {
     val models = ffnnFamily(3, w1Blocks = 2, w2Blocks = 2, blockDim = 4)
     val ids = models.flatMap(_.tensors).map(_.id)
